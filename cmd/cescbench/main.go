@@ -243,6 +243,18 @@ func writeBenchJSON(path string) error {
 				eng.StepPacked(packed7[i%len(packed7)])
 			}
 		}},
+		{"DiagPackedStepAssertFig7OCPBurstTraffic", func(b *testing.B) {
+			// The assert-session hot path: diagnostics armed, clean
+			// traffic, so every tick only copies its words into the ring.
+			eng := prog7.NewEngine(nil, monitor.ModeAssert)
+			eng.EnableDiagnostics(8)
+			for i := 0; i < b.N; i++ {
+				eng.StepPacked(packed7[i%len(packed7)])
+			}
+			if v := eng.Stats().Violations; v != 0 {
+				b.Fatalf("clean Fig. 7 trace raised %d violations", v)
+			}
+		}},
 		{"EngineStepFig8AHBTraffic", func(b *testing.B) {
 			eng := monitor.NewEngine(m8, nil, monitor.ModeDetect)
 			for i := 0; i < b.N; i++ {

@@ -77,12 +77,14 @@ func (b *PackedBatch) appendTick() Packed {
 // unescaped into a reused scratch buffer, and ticks land in the batch's
 // single backing array. The packing semantics match
 // Vocabulary.PackInto(StateJSON.ToState(tick)) exactly: undeclared
-// symbols and kind mismatches are dropped, false props are ignored.
+// symbols and kind mismatches are dropped, and a repeated prop key's
+// last value wins.
 //
-// The decoder is strict where encoding/json is lenient (unknown or
-// duplicate fields, non-string event entries, trailing garbage all
-// error); callers fall back to the encoding/json path on any error, so
-// strictness costs speed only, never behaviour.
+// The decoder is strict where encoding/json is lenient (unknown,
+// case-variant or duplicate fields, non-string event entries, invalid
+// UTF-8, trailing garbage all error); callers fall back to the
+// encoding/json path on any error, so strictness costs speed only,
+// never behaviour.
 type BatchDecoder struct {
 	vocab   *Vocabulary
 	scratch []byte
@@ -225,7 +227,9 @@ func (d *BatchDecoder) events(data []byte, i int, p Packed) (int, error) {
 }
 
 // props parses null or an object of name:bool pairs, setting the slot
-// of every true name the vocabulary declares as a prop.
+// of every true name the vocabulary declares as a prop and clearing it
+// for a false one, so a repeated key's last value wins exactly as it
+// does when encoding/json decodes the object into a map.
 func (d *BatchDecoder) props(data []byte, i int, p Packed) (int, error) {
 	if next, ok := literal(data, i, "null"); ok {
 		return next, nil
@@ -247,12 +251,17 @@ func (d *BatchDecoder) props(data []byte, i int, p Packed) (int, error) {
 			return 0, fmt.Errorf("event: offset %d: expected ':'", i)
 		}
 		i = skipSpace(data, i+1)
+		slot, declared := d.vocab.index[string(name)]
+		declared = declared && d.vocab.symbols[slot].Kind == KindProp
 		if next, ok := literal(data, i, "true"); ok {
-			if slot, ok := d.vocab.index[string(name)]; ok && d.vocab.symbols[slot].Kind == KindProp {
+			if declared {
 				p.Set(slot)
 			}
 			i = next
 		} else if next, ok := literal(data, i, "false"); ok {
+			if declared {
+				p.Clear(slot)
+			}
 			i = next
 		} else {
 			return 0, fmt.Errorf("event: offset %d: expected true or false", i)
@@ -293,26 +302,38 @@ func literal(data []byte, i int, lit string) (int, bool) {
 // It returns the decoded bytes — a sub-slice of data when no escapes
 // occur, the reused scratch buffer otherwise — and the index after the
 // closing quote. The returned slice is valid until the next str call.
+// Invalid UTF-8 is an error: encoding/json would decode it to U+FFFD,
+// which could name a different symbol than the raw bytes.
 func (d *BatchDecoder) str(data []byte, i int) ([]byte, int, error) {
 	if i >= len(data) || data[i] != '"' {
 		return nil, 0, fmt.Errorf("event: offset %d: expected string", i)
 	}
 	i++
 	start := i
+	ascii := true
 	for i < len(data) {
 		c := data[i]
 		switch {
 		case c == '"':
+			if !ascii && !utf8.Valid(data[start:i]) {
+				return nil, 0, errInvalidUTF8
+			}
 			return data[start:i], i + 1, nil
 		case c == '\\':
 			return d.strSlow(data, start, i)
 		case c < 0x20:
 			return nil, 0, fmt.Errorf("event: control byte in string")
+		case c >= utf8.RuneSelf:
+			ascii = false
 		}
 		i++
 	}
 	return nil, 0, fmt.Errorf("event: unterminated string")
 }
+
+// errInvalidUTF8 reports a string the strict decoder leaves to the
+// lenient path's replacement-rune decoding.
+var errInvalidUTF8 = fmt.Errorf("event: invalid UTF-8 in string")
 
 // strSlow finishes parsing a string that contains escapes, unescaping
 // into the scratch buffer.
@@ -322,6 +343,9 @@ func (d *BatchDecoder) strSlow(data []byte, start, i int) ([]byte, int, error) {
 		c := data[i]
 		switch {
 		case c == '"':
+			if !utf8.Valid(d.scratch) {
+				return nil, 0, errInvalidUTF8
+			}
 			return d.scratch, i + 1, nil
 		case c < 0x20:
 			return nil, 0, fmt.Errorf("event: control byte in string")

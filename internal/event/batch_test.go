@@ -233,3 +233,38 @@ func TestBatchDecoderZeroAlloc(t *testing.T) {
 		t.Fatalf("steady-state Decode allocates %.1f/op, want 0", allocs)
 	}
 }
+
+// TestBatchDecoderDuplicatePropLastWins pins the strict decoder to
+// encoding/json's map semantics for a repeated prop key: the last value
+// wins, so true-then-false packs false and false-then-true packs true.
+func TestBatchDecoderDuplicatePropLastWins(t *testing.T) {
+	v := testVocab(t)
+	for _, body := range []string{
+		`{"props":{"busy":true,"busy":false}}`,
+		`{"props":{"busy":false,"busy":true}}`,
+		`{"props":{"busy":true,"ready":true,"busy":false}}`,
+		`{"events":["cmd"],"props":{"cmd":false,"busy":true,"b\u0075sy":false}}`,
+	} {
+		want := refDecode(t, v, body)
+		var got PackedBatch
+		if _, err := NewBatchDecoder(v).Decode([]byte(body), &got, 0); err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		if !got.Tick(0).Equal(want[0]) {
+			t.Errorf("%s: packed %x, want %x", body, got.Tick(0), want[0])
+		}
+	}
+}
+
+// TestBatchDecoderRejectsInvalidUTF8 checks that a name with invalid
+// UTF-8 is left to the lenient path, which decodes it to U+FFFD.
+func TestBatchDecoderRejectsInvalidUTF8(t *testing.T) {
+	v := NewVocabulary()
+	v.MustDeclare("\uFFFD", KindEvent)
+	for _, body := range []string{"{\"events\":[\"\xff\"]}", "{\"events\":[\"\\n\xff\"]}"} {
+		var got PackedBatch
+		if _, err := NewBatchDecoder(v).Decode([]byte(body), &got, 0); err == nil {
+			t.Errorf("%q: decoded, want an invalid UTF-8 error", body)
+		}
+	}
+}

@@ -288,7 +288,7 @@ func (c *Compiled) EnableDiagnostics(depth int) {
 		c.diag = nil
 		return
 	}
-	c.diag = &diagState{depth: depth, ring: make([]event.State, depth), sup: c.t.sup}
+	c.diag = newDiagState(depth, 0, c.t.sup, nil)
 }
 
 // Diagnostics returns the recorded violation reports (nil when

@@ -75,16 +75,46 @@ func (d Diagnostic) String() string {
 // recent maxDiagnostics violations, and counters keep counting past it.
 const maxDiagnostics = 32
 
-// diagState is the engine's diagnostic machinery.
+// diagState is the engine's diagnostic machinery: a ring of the last
+// depth inputs plus the bounded report list. A slot holds its input in
+// the form it was stepped with — packed words (StepPacked), copied into
+// the slot's preallocated stride of words, or a map State (Step) — so
+// the packed hot path retains inputs without allocating; maps are
+// materialized only when a violation is recorded.
 type diagState struct {
-	depth   int
-	ring    []event.State
-	next    int
-	filled  bool
+	depth int
+	next  int
+	// filled reports that the ring has wrapped, so every slot holds an
+	// input; before that only slots [0, next) do.
+	filled bool
+	// words backs the packed slots: slot i owns words[i*stride:(i+1)*stride].
+	words  []uint64
+	stride int
+	// packed[i] reports that slot i holds packed words; otherwise it
+	// holds states[i].
+	packed []bool
+	states []event.State
+	// unpack expands a packed slot back to a State (nil for engines that
+	// are never fed packed input).
+	unpack  func(event.Packed) event.State
 	reports []Diagnostic
 	// sup packs offending inputs for Diagnostic.Valuation (nil when the
 	// monitor's support is unavailable).
 	sup *event.Support
+}
+
+// newDiagState returns an empty ring of depth slots with stride words
+// preallocated per slot for packed input.
+func newDiagState(depth, stride int, sup *event.Support, unpack func(event.Packed) event.State) *diagState {
+	return &diagState{
+		depth:  depth,
+		words:  make([]uint64, depth*stride),
+		stride: stride,
+		packed: make([]bool, depth),
+		states: make([]event.State, depth),
+		unpack: unpack,
+		sup:    sup,
+	}
 }
 
 // EnableDiagnostics makes the engine retain the last `depth` inputs and
@@ -95,12 +125,23 @@ func (e *Engine) EnableDiagnostics(depth int) {
 		e.diag = nil
 		return
 	}
-	e.diag = &diagState{depth: depth, ring: make([]event.State, depth)}
-	if e.b != nil {
-		e.diag.sup = e.b.prog.sup
-	} else if sup, err := e.m.Support(); err == nil {
-		e.diag.sup = sup
+	e.diag = e.newDiagState(depth)
+}
+
+// newDiagState sizes a ring for the engine's input forms: program-bound
+// engines get packed slots as wide as their StepPacked input (session
+// vocabulary or support order) and Valuation provenance over the
+// program's support; interpreted engines keep map slots only.
+func (e *Engine) newDiagState(depth int) *diagState {
+	if e.b == nil {
+		sup, _ := e.m.Support()
+		return newDiagState(depth, 0, sup, nil)
 	}
+	width := e.b.prog.sup.Len()
+	if e.b.vocab != nil {
+		width = e.b.vocab.Len()
+	}
+	return newDiagState(depth, event.PackedWords(width), e.b.prog.sup, e.b.unpack)
 }
 
 // Diagnostics returns the recorded violation reports (nil when
@@ -112,13 +153,49 @@ func (e *Engine) Diagnostics() []Diagnostic {
 	return e.diag.reports
 }
 
-// observe records an input before it is consumed.
-func (d *diagState) observe(s event.State) {
-	d.ring[d.next] = s.Clone()
+// advance moves the ring cursor past the slot just written.
+func (d *diagState) advance() {
 	d.next = (d.next + 1) % d.depth
 	if d.next == 0 {
 		d.filled = true
 	}
+}
+
+// observe records a map input before it is consumed.
+func (d *diagState) observe(s event.State) {
+	d.packed[d.next] = false
+	d.states[d.next] = s.Clone()
+	d.advance()
+}
+
+// observePacked records a packed input before it is consumed, copying
+// its words into the slot's preallocated buffer. The slot is as wide as
+// the symbol table the engine unpacks with, so words past it carry no
+// symbol and are dropped.
+func (d *diagState) observePacked(in event.Packed) {
+	w := d.words[d.next*d.stride : (d.next+1)*d.stride]
+	n := copy(w, in)
+	clear(w[n:])
+	d.packed[d.next] = true
+	d.states[d.next] = event.State{}
+	d.advance()
+}
+
+// populated reports whether slot i holds an observed input.
+func (d *diagState) populated(i int) bool { return d.filled || i < d.next }
+
+// slot materializes slot i as a State.
+func (d *diagState) slot(i int) event.State {
+	if d.packed[i] {
+		return d.unpack(event.Packed(d.words[i*d.stride : (i+1)*d.stride]))
+	}
+	return d.states[i]
+}
+
+// last materializes the input observed most recently (the offending one
+// when a violation is being recorded).
+func (d *diagState) last() event.State {
+	return d.slot((d.next - 1 + d.depth) % d.depth)
 }
 
 // recent returns the inputs before the one just observed, oldest first.
@@ -130,8 +207,7 @@ func (d *diagState) recent() []event.State {
 	}
 	// Exclude the most recent entry (the offending input itself).
 	for i := n - 1; i >= 1; i-- {
-		idx := (d.next - 1 - i + 2*d.depth) % d.depth
-		out = append(out, d.ring[idx])
+		out = append(out, d.slot((d.next-1-i+2*d.depth)%d.depth))
 	}
 	return out
 }
@@ -147,21 +223,23 @@ func (d *diagState) push(rep Diagnostic) {
 	d.reports = append(d.reports, rep)
 }
 
-// recordViolation captures a diagnostic if armed. Provenance is rendered
-// from whichever tier executed the step: program-bound engines decompile
-// the fired compiled guard back to source form, interpreted engines
-// render the guard AST directly — identical strings by construction.
-func (e *Engine) recordViolation(res StepResult, input event.State) {
+// recordViolation captures a diagnostic if armed. The offending input
+// is the ring's newest slot (every step observes before it finishes);
+// maps are built here, not per tick. Guard provenance comes from the
+// compiled program's cached renderings on program-bound engines and from
+// the guard AST otherwise — identical strings by construction.
+func (e *Engine) recordViolation(res StepResult) {
 	if e.diag == nil {
 		return
 	}
+	input := e.diag.last()
 	rep := Diagnostic{
 		Monitor:    e.m.Name,
 		Tick:       res.Tick,
 		FromState:  res.From,
 		GridLine:   gridLine(e.m, res.From),
 		Guards:     e.guardStrings(res.From),
-		Input:      input.Clone(),
+		Input:      input,
 		Recent:     e.diag.recent(),
 		Scoreboard: e.sb.Live(),
 	}
@@ -174,8 +252,8 @@ func (e *Engine) recordViolation(res StepResult, input event.State) {
 	e.diag.push(rep)
 }
 
-// guardString renders one guard of state s: from the compiled program's
-// slot names on the program tier, from the guard AST otherwise.
+// guardString renders one guard of state s: the program's cached
+// rendering on the program tier, the guard AST otherwise.
 func (e *Engine) guardString(s, idx int) string {
 	if e.b != nil {
 		return e.b.prog.GuardString(s, idx)
@@ -189,9 +267,12 @@ func (e *Engine) guardStrings(s int) []string {
 	if s < 0 || s >= len(e.m.Trans) || len(e.m.Trans[s]) == 0 {
 		return nil
 	}
+	if e.b != nil {
+		return append([]string(nil), e.b.prog.guardText[s]...)
+	}
 	out := make([]string, len(e.m.Trans[s]))
 	for i := range e.m.Trans[s] {
-		out[i] = e.guardString(s, i)
+		out[i] = e.m.Trans[s][i].Guard.String()
 	}
 	return out
 }

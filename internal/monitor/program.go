@@ -32,6 +32,9 @@ type Program struct {
 	// chkByState[s] reports whether any guard of state s samples the
 	// scoreboard; states that don't skip the ChkBits lock entirely.
 	chkByState []bool
+	// guardText[state][i] is the source rendering of guards[state][i],
+	// decompiled once at compile time for violation provenance.
+	guardText [][]string
 }
 
 // maxChkBits caps the scoreboard events one monitor's guards may test:
@@ -85,7 +88,8 @@ func CompileProgram(m *Monitor) (*Program, error) {
 		r.chkIndex[e] = i
 	}
 	p := &Program{m: m, sup: sup, chkNames: chkNames,
-		guards: make([][]*expr.Program, m.States), chkByState: make([]bool, m.States)}
+		guards: make([][]*expr.Program, m.States), chkByState: make([]bool, m.States),
+		guardText: make([][]string, m.States)}
 	for s, ts := range m.Trans {
 		p.guards[s] = make([]*expr.Program, len(ts))
 		for i, t := range ts {
@@ -97,6 +101,12 @@ func CompileProgram(m *Monitor) (*Program, error) {
 			if g.UsesChk() {
 				p.chkByState[s] = true
 			}
+		}
+	}
+	for s, gs := range p.guards {
+		p.guardText[s] = make([]string, len(gs))
+		for i := range gs {
+			p.guardText[s][i] = p.decompileGuard(s, i)
 		}
 	}
 	return p, nil
@@ -131,16 +141,23 @@ func (n progNamer) ChkName(idx int) string {
 	return n.p.chkNames[idx]
 }
 
-// GuardString renders the compiled guard of Trans[state][idx] purely
+// GuardString returns the source rendering of the compiled guard of
+// Trans[state][idx], or "" when out of range. It is rendered once at
+// compile time by decompileGuard.
+func (p *Program) GuardString(state, idx int) string {
+	if state < 0 || state >= len(p.guardText) || idx < 0 || idx >= len(p.guardText[state]) {
+		return ""
+	}
+	return p.guardText[state][idx]
+}
+
+// decompileGuard renders the compiled guard of Trans[state][idx] purely
 // from the program's slot names: the postfix code is decompiled back to
 // an AST (exact, because compilation preserves n-ary arity) and rendered
 // with the standard expression syntax. The result equals the source
 // guard's String() by construction, which is what lets every execution
 // tier report identical provenance.
-func (p *Program) GuardString(state, idx int) string {
-	if state < 0 || state >= len(p.guards) || idx < 0 || idx >= len(p.guards[state]) {
-		return ""
-	}
+func (p *Program) decompileGuard(state, idx int) string {
 	e, err := p.guards[state][idx].Decompile(progNamer{p})
 	if err != nil {
 		// Unreachable for programs this package compiled; keep provenance

@@ -46,12 +46,14 @@ func (e *Engine) Snapshot() EngineSnapshot {
 	if e.diag != nil {
 		d := &DiagSnapshot{
 			Depth:  e.diag.depth,
-			Ring:   make([]event.State, len(e.diag.ring)),
+			Ring:   make([]event.State, e.diag.depth),
 			Next:   e.diag.next,
 			Filled: e.diag.filled,
 		}
-		for i, s := range e.diag.ring {
-			d.Ring[i] = cloneMaybe(s)
+		for i := range d.Ring {
+			if e.diag.populated(i) {
+				d.Ring[i] = cloneMaybe(e.diag.slot(i))
+			}
 		}
 		for _, r := range e.diag.reports {
 			d.Reports = append(d.Reports, cloneDiagnostic(r))
@@ -85,16 +87,14 @@ func (e *Engine) Restore(snap EngineSnapshot) error {
 		return fmt.Errorf("monitor: snapshot diagnostics malformed (depth %d, ring %d, next %d)",
 			d.Depth, len(d.Ring), d.Next)
 	}
-	ds := &diagState{depth: d.Depth, ring: make([]event.State, d.Depth), next: d.Next, filled: d.Filled}
-	// Rebind the support used for Valuation provenance, exactly as
-	// EnableDiagnostics would.
-	if e.b != nil {
-		ds.sup = e.b.prog.sup
-	} else if sup, err := e.m.Support(); err == nil {
-		ds.sup = sup
-	}
+	// Rebind the support used for Valuation provenance and size the
+	// packed slots exactly as EnableDiagnostics would. Restored inputs
+	// land in map slots; stepping overwrites them in whichever form the
+	// engine is fed.
+	ds := e.newDiagState(d.Depth)
+	ds.next, ds.filled = d.Next, d.Filled
 	for i, s := range d.Ring {
-		ds.ring[i] = cloneMaybe(s)
+		ds.states[i] = cloneMaybe(s)
 	}
 	for _, r := range d.Reports {
 		ds.reports = append(ds.reports, cloneDiagnostic(r))

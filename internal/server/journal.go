@@ -1,11 +1,9 @@
 package server
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/event"
@@ -430,30 +428,30 @@ func (rs *sessionRestorer) applyRawBatch(jseq, seq uint64, trace string, raw []b
 	if trace != "" {
 		rs.lastTrace = trace
 	}
-	// The raw bytes passed the strict batch decoder at ingest, so the
-	// lenient json path accepts them; an error here is corruption the
-	// CRC framing missed, reported rather than skipped. Replaying
-	// through the map path is verdict-identical to the fast path — the
-	// decoder equivalence the conformance suite pins.
-	var states []event.State
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	for {
-		var t StateJSON
-		if err := dec.Decode(&t); err == io.EOF {
-			break
-		} else if err != nil {
-			return fmt.Errorf("raw batch record tick %d: %w", len(states), err)
-		}
-		states = append(states, t.ToState())
+	// The raw bytes passed the strict batch decoder at ingest; decoding
+	// them with the same decoder and session vocabulary steps exactly the
+	// packed ticks the live session stepped. An error here is corruption
+	// the CRC framing missed, reported rather than skipped.
+	packed, states, derr := sess.decodeTicks(raw, 0)
+	if derr != nil {
+		return fmt.Errorf("raw batch record: %s", derr.msg)
 	}
+	n := len(states)
 	sess.mu.Lock()
-	for _, st := range states {
-		sess.step(st)
+	if packed != nil {
+		n = packed.Len()
+		for i := 0; i < n; i++ {
+			sess.stepTick(event.State{}, packed.Tick(i), sess.batchShots(1), 0)
+		}
+	} else {
+		for _, st := range states {
+			sess.step(st)
+		}
 	}
 	sess.appliedJSeq = jseq
 	sess.mu.Unlock()
 	rs.replayed++
-	rs.replayTicks += len(states)
+	rs.replayTicks += n
 	return nil
 }
 

@@ -17,7 +17,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -891,44 +890,15 @@ func (s *Server) handleTicks(w http.ResponseWriter, r *http.Request) {
 	}
 	// Fast path: when every monitor in the session steps packed, the
 	// strict zero-copy batch decoder packs the NDJSON body straight into
-	// bitset lanes — no map materialization, no per-tick allocation. Any
-	// decode error (unknown field, malformed line, oversized batch) falls
-	// back to the lenient map path below, which reproduces the exact
-	// legacy error responses; the fast path only ever wins on input the
-	// slow path would also have accepted, with bit-identical packing.
-	var (
-		states []event.State
-		packed *event.PackedBatch
-		raw    []byte
-	)
-	if sess.fastPath {
-		pb := new(event.PackedBatch)
-		bd := event.NewBatchDecoder(sess.vocab)
-		if n, derr := bd.Decode(body, pb, s.cfg.MaxBatchTicks); derr == nil && n > 0 {
-			packed, raw = pb, body
-		}
+	// bitset lanes and the body is journaled as-is (see decodeTicks).
+	packed, states, derr := sess.decodeTicks(body, s.cfg.MaxBatchTicks)
+	if derr != nil {
+		writeError(w, derr.status, "%s", derr.msg)
+		return
 	}
-	if packed == nil {
-		dec := json.NewDecoder(bytes.NewReader(body))
-		for {
-			var t StateJSON
-			if err := dec.Decode(&t); err == io.EOF {
-				break
-			} else if err != nil {
-				writeError(w, http.StatusBadRequest, "tick %d: %v", len(states), err)
-				return
-			}
-			if len(states) >= s.cfg.MaxBatchTicks {
-				writeError(w, http.StatusRequestEntityTooLarge,
-					"batch exceeds %d ticks; split the stream", s.cfg.MaxBatchTicks)
-				return
-			}
-			states = append(states, t.ToState())
-		}
-		if len(states) == 0 {
-			writeError(w, http.StatusBadRequest, "no ticks in body")
-			return
-		}
+	var raw []byte
+	if packed != nil {
+		raw = body
 	}
 	nticks := len(states)
 	if packed != nil {

@@ -153,29 +153,19 @@ func newSession(id string, mode monitor.Mode, shard int, specs []*Spec, faults *
 	if depth == 0 && mode == monitor.ModeAssert {
 		depth = defaultDiagDepth
 	}
-	// Detect-mode sessions decode each tick once into a packed valuation
-	// over the union vocabulary of their specs. Assert-mode sessions keep
-	// the full map state per step so violation diagnostics capture the
-	// input exactly as received; their engines still run compiled guard
-	// programs. A vocabulary kind conflict across specs (same name used
-	// as event and prop) disables the shared packing for the session.
-	if mode == monitor.ModeDetect {
-		vocab := event.NewVocabulary()
-		ok := true
-		for _, sp := range specs {
-			if sp.compiled == nil {
-				ok = false
-				break
-			}
-			if err := vocab.DeclareSupport(sp.compiled.Support()); err != nil {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			s.vocab = vocab
+	// Every session decodes each tick once into a packed valuation over
+	// the union vocabulary of its specs; assert-mode diagnostics report
+	// inputs projected onto that vocabulary. A vocabulary kind conflict
+	// across specs (same name used as event and prop) disables the
+	// shared packing for the session.
+	vocab := event.NewVocabulary()
+	for _, sp := range specs {
+		if sp.compiled == nil || vocab.DeclareSupport(sp.compiled.Support()) != nil {
+			vocab = nil
+			break
 		}
 	}
+	s.vocab = vocab
 	for _, sp := range specs {
 		sm := &sessionMonitor{spec: sp.Name, cov: verif.NewCoverage(sp.mon)}
 		switch {
