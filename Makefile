@@ -26,10 +26,13 @@ race:
 	$(GO) test -race ./...
 
 # Tier-1 verification: build + vet + tests under the race detector
-# (includes the fixed-seed mini-campaign and regression replay), then the
+# (includes the fixed-seed mini-campaign and regression replay), a vet of
+# the nested e2ebench module (root `./...` skips it, so an API it calls
+# could otherwise vanish unnoticed until the benchmark runs), then the
 # full conformance campaign and a short fuzz budget per target.
 check:
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test -race ./...
+	cd e2ebench && $(GO) vet ./...
 	$(MAKE) conformance
 	$(MAKE) clustertest
 	$(MAKE) minetest
@@ -75,12 +78,10 @@ crashtest:
 	$(GO) test -race -v -run 'Crash|Recovery|Quarantine|Dedup|Journal|Resume|ExactlyOnce|Injected|Truncated' \
 		./internal/server/ ./internal/client/ ./internal/wal/ ./internal/faultinject/ ./internal/trace/
 
-# Runs the in-tree benchmarks and records the machine-readable summary
-# that tracks the perf trajectory across PRs (packed vs map engine, WAL,
-# ingest) into BENCH_PR3.json.
+# Runs the in-tree Go benchmarks (`make bench-json` records the
+# machine-readable summary).
 bench:
 	$(GO) test -bench=. -benchmem ./...
-	$(GO) run ./cmd/cescbench -json BENCH_PR3.json
 
 # Machine-readable micro-benchmark summary (name, ns/op, allocs/op).
 bench-json:
@@ -95,10 +96,8 @@ obs-bench:
 	$(GO) run ./cmd/cescbench -obs-json BENCH_PR10.json
 
 # Perf gate: re-run the observability suite against BENCH_PR10.json
-# (which supersedes the PR-5 obs baseline: the same benches plus the
-# flight-recorder and trace-propagation rows, re-recorded so wall-time
-# gates compare against current hardware — BENCH_PR5.json stays in the
-# tree as history) and the full micro-benchmark suite against
+# (the obs benches plus the flight-recorder and trace-propagation rows)
+# and the full micro-benchmark suite against
 # BENCH_PR8.json, each with noise-aware thresholds (time must grow >50%
 # AND >50ns to fail; any allocs/op increase fails — that gate protects
 # the 0-alloc packed hot path). PERF_THRESHOLDS.json overrides the gate

@@ -279,9 +279,9 @@ func TestLaneBankSpill(t *testing.T) {
 	}
 }
 
-// fusedMonitors builds three overlapping chk-free monitors, one with a
-// violation sink, for the product-table differential.
-func fusedMonitors() []*Monitor {
+// chkFreeMonitors builds three overlapping chk-free monitors, one with a
+// violation sink, for the StepFired differential.
+func chkFreeMonitors() []*Monitor {
 	a, b, c := expr.Ev("a"), expr.Ev("b"), expr.Ev("c")
 	m1 := New("seq-ab", "clk", 3)
 	m1.AddTransition(0, Transition{To: 1, Guard: a})
@@ -307,80 +307,11 @@ func fusedMonitors() []*Monitor {
 	return []*Monitor{m1, m2, m3}
 }
 
-func TestFusedTableMatchesCompiled(t *testing.T) {
-	ms := fusedMonitors()
-	f, err := NewFusedTable(ms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refs := make([]*Compiled, len(ms))
-	for i, m := range ms {
-		if refs[i], err = Compile(m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mask := uint64(1)<<uint(f.Support().Len()) - 1
-	rng := xorshift(43)
-	for tick := 0; tick < 4000; tick++ {
-		v := rng.next() & mask
-		s := f.Support().State(event.Valuation(v))
-		prevViol := make([]int, len(refs))
-		for i, c := range refs {
-			prevViol[i] = c.Violations()
-		}
-		acceptMask, violMask := f.Step(v)
-		for i, c := range refs {
-			accepted := c.Step(s)
-			if got := acceptMask>>uint(i)&1 == 1; got != accepted {
-				t.Fatalf("tick %d monitor %d: accept %v, reference %v", tick, i, got, accepted)
-			}
-			if got := violMask>>uint(i)&1 == 1; got != (c.Violations() > prevViol[i]) {
-				t.Fatalf("tick %d monitor %d: violation bit mismatch", tick, i)
-			}
-			if f.States()[i] != c.State() {
-				t.Fatalf("tick %d monitor %d: state %d, reference %d", tick, i, f.States()[i], c.State())
-			}
-			if f.Accepts(i) != c.Accepts() || f.Violations(i) != c.Violations() {
-				t.Fatalf("tick %d monitor %d: counter divergence", tick, i)
-			}
-		}
-	}
-	if f.Steps() != 4000 {
-		t.Fatalf("steps = %d", f.Steps())
-	}
-	if f.TableBytes() <= 0 {
-		t.Error("table size not reported")
-	}
-	f.Reset()
-	for i, m := range ms {
-		if f.States()[i] != m.Initial {
-			t.Error("reset did not restore initial product state")
-		}
-	}
-}
-
-func TestFusedTableRejects(t *testing.T) {
-	if _, err := NewFusedTable([]*Monitor{twoStep()}); err == nil {
-		t.Error("chk-testing monitor fused")
-	}
-	if _, err := NewFusedTable(nil); err == nil {
-		t.Error("empty set fused")
-	}
-	many := make([]*Monitor, maxFusedMonitors+1)
-	ms := fusedMonitors()
-	for i := range many {
-		many[i] = ms[0]
-	}
-	if _, err := NewFusedTable(many); err == nil {
-		t.Error("oversized set fused")
-	}
-}
-
 // TestEngineStepFired pins the contract StepFired relies on: for a
 // chk-free monitor with diagnostics off, resolving the fired index via
 // the Table and finishing through the engine matches Step exactly.
 func TestEngineStepFired(t *testing.T) {
-	ms := fusedMonitors()
+	ms := chkFreeMonitors()
 	for _, m := range ms {
 		tab, err := CompileTable(m)
 		if err != nil {

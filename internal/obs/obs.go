@@ -14,6 +14,7 @@
 package obs
 
 import (
+	"sort"
 	"sync/atomic"
 	"time"
 )
@@ -208,19 +209,10 @@ func (t *Tracer) Snapshot(keep func(*Span) bool, n int) []Span {
 			}
 		}
 	}
-	sortSpans(out)
+	// Seqs are unique, so ordering by Seq is total.
+	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	if n > 0 && len(out) > n {
 		out = out[len(out)-n:]
 	}
 	return out
-}
-
-// sortSpans orders by Seq ascending (insertion sort is fine: snapshots
-// are bounded by ring depth and nearly sorted per ring).
-func sortSpans(s []Span) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j].Seq < s[j-1].Seq; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"log/slog"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -53,6 +54,47 @@ func TestTracerRecordSnapshotOrder(t *testing.T) {
 	sess := tr.Snapshot(func(sp *Span) bool { return sp.Session == "a" }, 1)
 	if len(sess) != 1 || sess[0].Stage != StageStep {
 		t.Errorf("filtered tail = %+v, want the newest session-a span", sess)
+	}
+
+	// Multi-shard, wrapped rings: each ring keeps only its newest depth
+	// spans and snapshots them in slot order (a rotation), so the merged
+	// snapshot must still come back in strict Seq order, and the
+	// newest-n cut must take the globally newest retained spans.
+	const shards, depth = 3, 8
+	tr = NewTracer(shards, depth)
+	route := []int{0, 1, 0, 2, -1} // uneven, so the rings wrap at different seqs
+	perRing := make([][]uint64, shards+1)
+	for i := 0; i < 157; i++ {
+		shard := route[i%len(route)]
+		tr.Record(shard, Span{Stage: StageStep})
+		ring := shard
+		if ring < 0 {
+			ring = shards
+		}
+		perRing[ring] = append(perRing[ring], uint64(i+1))
+	}
+	var want []uint64
+	for _, seqs := range perRing {
+		if len(seqs) <= depth {
+			t.Fatalf("ring holds %d spans, want it wrapped past depth %d", len(seqs), depth)
+		}
+		want = append(want, seqs[len(seqs)-depth:]...)
+	}
+	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+	for _, n := range []int{0, 5, len(want), len(want) + 3} {
+		got := tr.Snapshot(nil, n)
+		exp := want
+		if n > 0 && n < len(want) {
+			exp = want[len(want)-n:]
+		}
+		if len(got) != len(exp) {
+			t.Fatalf("wrapped snapshot n=%d: %d spans, want %d", n, len(got), len(exp))
+		}
+		for i, sp := range got {
+			if sp.Seq != exp[i] {
+				t.Fatalf("wrapped snapshot n=%d: span %d has seq %d, want %d", n, i, sp.Seq, exp[i])
+			}
+		}
 	}
 }
 

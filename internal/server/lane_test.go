@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/chart"
-	"repro/internal/event"
 	"repro/internal/monitor"
 	"repro/internal/ocp"
 	"repro/internal/parser"
@@ -23,33 +22,13 @@ import (
 
 // laneChart is the Fig. 6 simple read without its causality arrow: no
 // scoreboard actions, no Chk guards, so the synthesized table is
-// chk-free and a single-spec detect session on it is lane-steppable.
+// chk-free (the shape LaneBank steps in the benches and the conformance
+// lane phase).
 func laneChart() *chart.SCESC {
 	c := ocp.SimpleReadChart()
 	c.ChartName = "lane_read"
 	c.Arrows = nil
 	return c
-}
-
-// newLaneServer builds a server with both the lane-eligible spec and
-// the arrowed (chk-carrying) original loaded.
-func newLaneServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
-	t.Helper()
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	src := parser.Print("LaneRead", laneChart()) +
-		parser.Print("OcpSimpleRead", ocp.SimpleReadChart())
-	if _, err := s.LoadSpecSource(src); err != nil {
-		t.Fatalf("loading spec: %v", err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		s.Close()
-	})
-	return s, ts
 }
 
 // prettyNDJSON renders the trace as indented, multi-line JSON values.
@@ -154,7 +133,7 @@ func TestFastPathJournalRecoveryParity(t *testing.T) {
 }
 
 // TestLanePageoutRevivalParity checks the snapshot round trip of a
-// lane-eligible session: page it out mid-stream, revive it with more
+// chk-free fast-path session: page it out mid-stream, revive it with more
 // fast-path traffic, and compare against an uninterrupted run.
 func TestLanePageoutRevivalParity(t *testing.T) {
 	dir := t.TempDir()
@@ -172,8 +151,8 @@ func TestLanePageoutRevivalParity(t *testing.T) {
 	tr := ocp.NewModel(ocp.Config{Gap: 2, Seed: 5, FaultRate: 0.1}).GenerateTrace(240)
 	sess := createSession(t, ts.URL, "detect", "LaneRead")
 	live, ok := s.session(sess.ID)
-	if !ok || live.laneTab == nil {
-		t.Fatalf("session not lane-eligible (laneTab nil); fast path preconditions regressed")
+	if !ok || !live.fastPath {
+		t.Fatalf("session not on the fast path; fast path preconditions regressed")
 	}
 	streamTicks(t, ts.URL, sess.ID, tr[:120], 30)
 	doJSON(t, "POST", fmt.Sprintf("%s/sessions/%s/pageout", ts.URL, sess.ID), nil, http.StatusOK, nil)
@@ -195,86 +174,6 @@ func TestLanePageoutRevivalParity(t *testing.T) {
 	if s.Metrics().SessionsRevived != 1 {
 		t.Fatal("revival not counted")
 	}
-}
-
-// TestLaneGroupWindow drives processWindow directly with a window of
-// packed batches for five lane-eligible sessions sharing one table, one
-// slow-path batch, and a second batch for the first session (which, by
-// the first-batch-only rule, must run on the scalar path after the
-// group). Every session must report verdicts identical to the reference
-// engine over its own full input, in order.
-func TestLaneGroupWindow(t *testing.T) {
-	s, ts := newLaneServer(t, Config{Shards: 1, QueueDepth: 64})
-	const lanes = 5
-	sessions := make([]*session, lanes)
-	traces := make([]trace.Trace, lanes)
-	window := make([]*batch, 0, lanes+2)
-	for i := 0; i < lanes; i++ {
-		info := createSession(t, ts.URL, "detect", "LaneRead")
-		live, ok := s.session(info.ID)
-		if !ok || live.laneTab == nil {
-			t.Fatalf("session %d not lane-eligible", i)
-		}
-		sessions[i] = live
-		traces[i] = ocp.NewModel(ocp.Config{Gap: 2, Seed: int64(i + 1), FaultRate: 0.1}).GenerateTrace(100)
-		window = append(window, packedBatch(t, live, traces[i]))
-	}
-	// A chk-carrying session rides the same window on the scalar path.
-	chkInfo := createSession(t, ts.URL, "detect", "OcpSimpleRead")
-	chkSess, _ := s.session(chkInfo.ID)
-	chkTrace := ocp.NewModel(ocp.Config{Gap: 2, Seed: 9}).GenerateTrace(80)
-	window = append(window, &batch{sess: chkSess, states: append(trace.Trace(nil), chkTrace...), enqueued: time.Now()})
-	// Second batch for session 0: must not join the group (ordering).
-	tail := ocp.NewModel(ocp.Config{Gap: 2, Seed: 99, FaultRate: 0.1}).GenerateTrace(60)
-	window = append(window, packedBatch(t, sessions[0], tail))
-
-	s.processWindow(s.shards[0], window)
-
-	if got := s.Metrics().LaneGroupTicks; got != uint64(lanes*100) {
-		t.Fatalf("lane_group_ticks = %d, want %d", got, lanes*100)
-	}
-	m, err := synth.Synthesize(laneChart(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < lanes; i++ {
-		input := traces[i]
-		if i == 0 {
-			input = append(append(trace.Trace(nil), traces[0]...), tail...)
-		}
-		wantAccepts := verif.EngineAcceptTicks(monitor.NewEngine(m, nil, monitor.ModeDetect), input)
-		v := verdictFor(t, ts.URL, sessions[i].id, "LaneRead")
-		if v.Steps != len(input) || v.Accepts != len(wantAccepts) {
-			t.Fatalf("lane session %d: steps=%d accepts=%d, want %d/%d",
-				i, v.Steps, v.Accepts, len(input), len(wantAccepts))
-		}
-		for j, tick := range v.AcceptTicks {
-			if tick != wantAccepts[j] {
-				t.Fatalf("lane session %d accept tick %d = %d, want %d", i, j, tick, wantAccepts[j])
-			}
-		}
-	}
-	mo, err := synth.Synthesize(ocp.SimpleReadChart(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantChk := verif.EngineAcceptTicks(monitor.NewEngine(mo, nil, monitor.ModeDetect), chkTrace)
-	if v := verdictFor(t, ts.URL, chkInfo.ID, "OcpSimpleRead"); v.Accepts != len(wantChk) {
-		t.Fatalf("scalar session in mixed window: accepts=%d, want %d", v.Accepts, len(wantChk))
-	}
-}
-
-// packedBatch builds a fast-path batch for the session from the trace,
-// through the same decoder ingest uses.
-func packedBatch(t *testing.T, sess *session, tr trace.Trace) *batch {
-	t.Helper()
-	body := ndjson(t, tr)
-	pb := new(event.PackedBatch)
-	n, err := event.NewBatchDecoder(sess.vocab).Decode(body, pb, 1<<20)
-	if err != nil || n != len(tr) {
-		t.Fatalf("packing batch: n=%d err=%v", n, err)
-	}
-	return &batch{sess: sess, packed: pb, raw: body, enqueued: time.Now()}
 }
 
 // TestLaneChurnStress churns lane membership under concurrent traffic:

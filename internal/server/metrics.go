@@ -17,7 +17,6 @@ type metrics struct {
 
 	ticksTotal      atomic.Uint64 // valuation ticks processed
 	batchesTotal    atomic.Uint64 // tick batches processed
-	laneGroupTicks  atomic.Uint64 // ticks stepped via bit-sliced lane groups
 	rejectedTotal   atomic.Uint64 // 429 responses (shard queue full)
 	acceptsTotal    atomic.Uint64 // monitor acceptances across sessions
 	violationsTotal atomic.Uint64 // monitor violations across sessions
@@ -129,7 +128,6 @@ type MetricsSnapshot struct {
 	TicksTotal      uint64  `json:"ticks_total"`
 	TicksPerSec     float64 `json:"ticks_per_sec"`
 	BatchesTotal    uint64  `json:"batches_total"`
-	LaneGroupTicks  uint64  `json:"lane_group_ticks"`
 	RejectedTotal   uint64  `json:"rejected_total"`
 	AcceptsTotal    uint64  `json:"accepts_total"`
 	ViolationsTotal uint64  `json:"violations_total"`
@@ -212,7 +210,6 @@ func (m *metrics) snapshot() MetricsSnapshot {
 		TicksTotal:      ticks,
 		TicksPerSec:     rate,
 		BatchesTotal:    m.batchesTotal.Load(),
-		LaneGroupTicks:  m.laneGroupTicks.Load(),
 		RejectedTotal:   m.rejectedTotal.Load(),
 		AcceptsTotal:    m.acceptsTotal.Load(),
 		ViolationsTotal: m.violationsTotal.Load(),

@@ -260,19 +260,28 @@ func TestHotLoadDuringTraffic(t *testing.T) {
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
+	// started closes after the first batch lands, so the loads below
+	// always overlap traffic (without it a slow-to-schedule sender could
+	// see stop before posting anything).
+	started := make(chan struct{})
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		var once sync.Once
+		signal := func() { close(started) }
+		defer once.Do(signal) // a failed first post must not hang the test
 		for {
+			doJSON(t, "POST", fmt.Sprintf("%s/sessions/%s/ticks?wait=1", ts.URL, sess.ID),
+				body, http.StatusOK, nil)
+			once.Do(signal)
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			doJSON(t, "POST", fmt.Sprintf("%s/sessions/%s/ticks?wait=1", ts.URL, sess.ID),
-				body, http.StatusOK, nil)
 		}
 	}()
+	<-started
 
 	for i := 0; i < 20; i++ {
 		// Parse error and mid-batch synthesis-level error: both must

@@ -74,8 +74,8 @@ func compileChart(name string, c chart.Chart) (sp *Spec, err error) {
 	sp.Transitions = m.NumTransitions()
 	// Compile the shared guard programs (the width-unlimited fast path
 	// sessions actually execute); failure degrades to interpretation.
-	// The table footprint comes from the spec's cached table, which lane
-	// sessions reuse; monitors too wide for a table report 0.
+	// The table footprint comes from the spec's cached table; monitors
+	// too wide for a table report 0.
 	if cs, err := synth.NewCompiledSpec(m); err == nil {
 		sp.compiled = cs
 		sp.ProgramOps = cs.Program.Ops()
